@@ -23,13 +23,24 @@ Lines are drawn from per-class *pools* of deterministic pseudo-random
 lines.  Pools keep the number of distinct byte strings bounded, which
 (a) matches real programs, where values repeat heavily, and (b) lets
 the controller's compressed-size memoization work.
+
+Every random draw is keyed: the bytes at a coordinate depend only on
+``stable_seed(name, *key)``, never on which coordinates were drawn
+before.  Each :class:`PageImageGenerator` owns one ``RandomState`` and
+reseeds it per keyed draw (``rng.seed(stable_seed(...))`` seeds MT19937
+exactly as a fresh construction does, so the draws are identical); its
+pools draw through the same RNG.  Never construct an RNG per draw:
+construction costs ~70x a reseed and would dominate a simulation's
+host time.  Page classes are memoized per page, which is bounded by
+the footprint; per-line results are not, since that would grow with
+footprint x 64.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -50,11 +61,6 @@ class LineClass(enum.Enum):
     TEXT = "text"
     SPARSE = "sparse"
     RANDOM = "random"
-
-
-def _rng(*key) -> np.random.RandomState:
-    """Deterministic RNG from a structured key."""
-    return np.random.RandomState(stable_seed(*key))
 
 
 def make_line(line_class: LineClass, rng: np.random.RandomState) -> bytes:
@@ -102,21 +108,28 @@ def make_line(line_class: LineClass, rng: np.random.RandomState) -> bytes:
 
 
 class LinePool:
-    """A bounded pool of deterministic lines for one (context, class)."""
+    """A bounded pool of deterministic lines for one (context, class).
+
+    Slot ``s`` is drawn from ``rng`` reseeded with
+    ``stable_seed(context, class, s)``; ``rng`` is shared with the
+    owning generator, which reseeds it before each of its own draws.
+    """
 
     def __init__(self, context: str, line_class: LineClass,
-                 size: int = 512) -> None:
+                 rng: np.random.RandomState, size: int = 512) -> None:
         self.context = context
         self.line_class = line_class
         self.size = size
+        self._rng = rng
         self._lines: Dict[int, bytes] = {}
 
     def line(self, index: int) -> bytes:
         slot = index % self.size
         cached = self._lines.get(slot)
         if cached is None:
-            rng = _rng(self.context, self.line_class.value, slot)
-            cached = make_line(self.line_class, rng)
+            self._rng.seed(
+                stable_seed(self.context, self.line_class.value, slot))
+            cached = make_line(self.line_class, self._rng)
             self._lines[slot] = cached
         return cached
 
@@ -148,39 +161,56 @@ class PageImageGenerator:
         self.weights = [mix[c] / total for c in self.classes]
         self.zero_line_fraction = zero_line_fraction
         self.mixed_fraction = mixed_fraction
+        # The one RNG behind every draw, the pools' included; the seed
+        # here is never drawn from, since every draw reseeds first.
+        self._rng = np.random.RandomState(stable_seed(name))
         self._pools: Dict[LineClass, LinePool] = {
-            cls: LinePool(name, cls, pool_size) for cls in LineClass
+            cls: LinePool(name, cls, self._rng, pool_size)
+            for cls in LineClass
         }
+        self._page_classes: Dict[int, LineClass] = {}
+        self._secondary_classes: Dict[int, LineClass] = {}
+
+    def _keyed(self, *key) -> np.random.RandomState:
+        """The RNG, reseeded as ``RandomState(stable_seed(name, *key))``."""
+        self._rng.seed(stable_seed(self.name, *key))
+        return self._rng
+
+    def _draw_class(self, memo: Dict[int, LineClass], kind: str,
+                    page: int) -> LineClass:
+        cls = memo.get(page)
+        if cls is None:
+            rng = self._keyed(kind, page)
+            cls = self.classes[
+                int(rng.choice(len(self.classes), p=self.weights))
+            ]
+            memo[page] = cls
+        return cls
 
     def page_class(self, page: int) -> LineClass:
-        rng = _rng(self.name, "pageclass", page)
-        return self.classes[
-            int(rng.choice(len(self.classes), p=self.weights))
-        ]
+        return self._draw_class(self._page_classes, "pageclass", page)
 
     def secondary_class(self, page: int) -> LineClass:
         """Minority class sprinkled into a page (real pages are not
         perfectly homogeneous — e.g. headers inside data arrays)."""
-        rng = _rng(self.name, "secondary", page)
-        return self.classes[
-            int(rng.choice(len(self.classes), p=self.weights))
-        ]
+        return self._draw_class(self._secondary_classes, "secondary", page)
 
     def line(self, page: int, line: int, version: int = 0,
-             override: LineClass = None) -> bytes:
+             override: Optional[LineClass] = None) -> bytes:
         """Content of a line; ``version`` advances on writebacks."""
-        cls = override or self.page_class(page)
-        if override is None and cls is not LineClass.ZERO \
-                and self.mixed_fraction:
-            rng = _rng(self.name, "hetero", page, line)
-            if rng.rand() < self.mixed_fraction:
+        if override is not None:
+            cls = override
+        else:
+            cls = self.page_class(page)
+            if (cls is not LineClass.ZERO and self.mixed_fraction
+                    and self._keyed("hetero", page, line).rand()
+                    < self.mixed_fraction):
                 cls = self.secondary_class(page)
         if cls is LineClass.ZERO:
             return bytes(LINE_SIZE)
-        if self.zero_line_fraction:
-            rng = _rng(self.name, "zline", page, line)
-            if rng.rand() < self.zero_line_fraction:
-                return bytes(LINE_SIZE)
+        if self.zero_line_fraction and self._keyed(
+                "zline", page, line).rand() < self.zero_line_fraction:
+            return bytes(LINE_SIZE)
         index = hash((page, line, version)) & 0x7FFFFFFF
         return self._pools[cls].line(index)
 

@@ -1,11 +1,14 @@
 """Tests for the synthetic workload substitution layer."""
 
+import numpy as np
 import pytest
 
+from repro._util import stable_seed
 from repro.compression import BPCCompressor
 from repro.workloads import (
     BENCHMARK_ORDER,
     CAPACITY_STALLERS,
+    LINE_SIZE,
     LINES_PER_PAGE,
     MIXES,
     PROFILES,
@@ -21,7 +24,6 @@ from repro.workloads import (
 
 class TestDataGen:
     def test_all_classes_produce_64_bytes(self):
-        import numpy as np
         rng = np.random.RandomState(0)
         for cls in LineClass:
             assert len(make_line(cls, rng)) == 64
@@ -64,6 +66,131 @@ class TestDataGen:
     def test_invalid_mix_rejected(self):
         with pytest.raises(ValueError):
             PageImageGenerator("x", {})
+
+
+class ReferenceGenerator:
+    """Datagen with a fresh ``RandomState(stable_seed(...))`` per keyed
+    draw and no memo: the semantics the reseeded, memoized generator
+    must reproduce byte for byte."""
+
+    def __init__(self, name, mix, zero_line_fraction=0.0,
+                 mixed_fraction=0.08, pool_size=512):
+        total = sum(mix.values())
+        self.name = name
+        self.classes = sorted(mix, key=lambda c: c.value)
+        self.weights = [mix[c] / total for c in self.classes]
+        self.zero_line_fraction = zero_line_fraction
+        self.mixed_fraction = mixed_fraction
+        self.pool_size = pool_size
+
+    def _rng(self, *key):
+        return np.random.RandomState(stable_seed(self.name, *key))
+
+    def page_class(self, page):
+        rng = self._rng("pageclass", page)
+        return self.classes[int(rng.choice(len(self.classes),
+                                           p=self.weights))]
+
+    def secondary_class(self, page):
+        rng = self._rng("secondary", page)
+        return self.classes[int(rng.choice(len(self.classes),
+                                           p=self.weights))]
+
+    def line(self, page, line, version=0, override=None):
+        cls = override or self.page_class(page)
+        if override is None and cls is not LineClass.ZERO \
+                and self.mixed_fraction:
+            if self._rng("hetero", page, line).rand() < self.mixed_fraction:
+                cls = self.secondary_class(page)
+        if cls is LineClass.ZERO:
+            return bytes(LINE_SIZE)
+        if self.zero_line_fraction:
+            if self._rng("zline", page, line).rand() \
+                    < self.zero_line_fraction:
+                return bytes(LINE_SIZE)
+        slot = (hash((page, line, version)) & 0x7FFFFFFF) % self.pool_size
+        return make_line(cls, self._rng(cls.value, slot))
+
+    def page_lines(self, page, version=0):
+        return [self.line(page, line, version)
+                for line in range(LINES_PER_PAGE)]
+
+
+#: A mix with a ZERO page class, every non-zero class, zero lines and the
+#: default mixed_fraction (heterogeneous lines).
+EQUIV_MIX = {LineClass.ZERO: 0.15, LineClass.INT_SMALL: 0.1,
+             LineClass.INT_DELTA: 0.1, LineClass.POINTER: 0.15,
+             LineClass.FLOAT: 0.15, LineClass.TEXT: 0.1,
+             LineClass.SPARSE: 0.1, LineClass.RANDOM: 0.15}
+EQUIV_ARGS = dict(zero_line_fraction=0.2, pool_size=24)
+EQUIV_PAGES = 24
+
+
+def equiv_pair(name="equiv"):
+    return (PageImageGenerator(name, EQUIV_MIX, **EQUIV_ARGS),
+            ReferenceGenerator(name, EQUIV_MIX, **EQUIV_ARGS))
+
+
+class TestDataGenEquivalence:
+    """The reused, reseeded RNG and the per-page class memo leave every
+    byte as a fresh RNG per draw makes it, whatever the access order."""
+
+    def test_fixture_covers_the_interesting_cases(self):
+        _, ref = equiv_pair()
+        classes = {ref.page_class(p) for p in range(EQUIV_PAGES)}
+        assert LineClass.ZERO in classes and len(classes) >= 5
+        hetero = zero = 0
+        for page in range(EQUIV_PAGES):
+            if ref.page_class(page) is LineClass.ZERO:
+                continue
+            for line in range(LINES_PER_PAGE):
+                hetero += (ref.line(page, line)
+                           != ref.line(page, line,
+                                       override=ref.page_class(page)))
+                zero += ref.line(page, line) == bytes(LINE_SIZE)
+        assert hetero > 0 and zero > 0
+
+    def test_pages_in_order_and_reversed(self):
+        for order in (range(EQUIV_PAGES), reversed(range(EQUIV_PAGES))):
+            gen, ref = equiv_pair()
+            for page in order:
+                assert gen.page_lines(page) == ref.page_lines(page)
+                assert gen.page_class(page) is ref.page_class(page)
+                assert gen.secondary_class(page) is ref.secondary_class(page)
+
+    def test_secondary_class_before_page_class(self):
+        gen, ref = equiv_pair()
+        for page in reversed(range(EQUIV_PAGES)):
+            assert gen.secondary_class(page) is ref.secondary_class(page)
+            assert gen.page_class(page) is ref.page_class(page)
+        for page in range(EQUIV_PAGES):
+            for line in range(0, LINES_PER_PAGE, 3):
+                assert gen.line(page, line) == ref.line(page, line)
+
+    def test_versions_and_overrides(self):
+        gen, ref = equiv_pair()
+        for page in range(EQUIV_PAGES):
+            for line in range(0, LINES_PER_PAGE, 5):
+                for version in (0, 1, 7):
+                    assert (gen.line(page, line, version)
+                            == ref.line(page, line, version))
+                for override in LineClass:
+                    assert (gen.line(page, line, 3, override)
+                            == ref.line(page, line, 3, override))
+            assert gen.page_lines(page, 2) == ref.page_lines(page, 2)
+
+    def test_two_generators_interleaved_line_by_line(self):
+        gen_a, ref_a = equiv_pair("equiv-a")
+        gen_b, ref_b = equiv_pair("equiv-b")
+        for page in range(EQUIV_PAGES):
+            for line in range(LINES_PER_PAGE):
+                b_page = EQUIV_PAGES - 1 - page
+                assert gen_a.line(page, line) == ref_a.line(page, line)
+                assert gen_b.line(b_page, line, 1) \
+                    == ref_b.line(b_page, line, 1)
+        for page in range(EQUIV_PAGES):
+            assert gen_a.page_class(page) is ref_a.page_class(page)
+            assert gen_b.secondary_class(page) is ref_b.secondary_class(page)
 
 
 class TestProfiles:
