@@ -175,7 +175,7 @@ def _line_size(compressor, cache: Dict[bytes, int], line: bytes) -> int:
         return 0
     size = cache.get(line)
     if size is None:
-        size = min(compressor.compress(line).size_bytes, 64)
+        size = min(compressor.compressed_size_bytes(line), 64)
         cache[line] = size
     return size
 

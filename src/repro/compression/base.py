@@ -77,11 +77,20 @@ class Compressor(abc.ABC):
         return [self.compress(bytes(line)) for line in lines]
 
     def compressed_size_bits(self, data: bytes) -> int:
-        """Convenience wrapper returning only the encoded size."""
+        """Encoded size of ``data`` in bits.
+
+        Subclasses may count the size without building the bit stream;
+        the result must equal ``compress(data).size_bits``.
+        """
         return self.compress(data).size_bits
 
     def compressed_size_bytes(self, data: bytes) -> int:
-        return self.compress(data).size_bytes
+        """Encoded size rounded up to whole bytes (what packing uses).
+
+        The single size entry point of the memory models; subclasses
+        override :meth:`compressed_size_bits`, not this.
+        """
+        return (self.compressed_size_bits(data) + 7) // 8
 
     def _check_input(self, data: bytes) -> None:
         if len(data) != self.line_size:

@@ -38,14 +38,26 @@ delta transform above; mode 0 bit-plane-encodes the raw words (32
 planes of 16 bits, still with the plane XOR); a 1-bit header selects
 the mode, and a raw fallback guarantees the output never exceeds
 ``line_size * 8 + 2`` bits.
+
+Both modes share one table transpose (``_PlaneCoder.planes``): five
+256-entry "spread" lookups per value place its bits in per-plane
+fields of one integer, so every DBX plane comes from a single shifted
+XOR, and one ``to_bytes`` plus a struct unpack splits the planes.  The
+memory models only need sizes, so ``BPCCompressor.compressed_size_bits``
+counts the bits the encoder would write -- same planes, same symbol
+table, same mode choice and raw cap -- without assembling a bit stream.
+``compress``/``decompress`` remain the byte-exact reference that the
+count is tested against.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from operator import sub
+from typing import Iterator, Iterable, List, Sequence, Tuple
 
-from .base import CompressedLine, Compressor, bytes_of, words_of
+from .base import CompressedLine, Compressor, bytes_of
 from .bitstream import BitReader, BitWriter, sign_extend
 
 _WORD_BITS = 32
@@ -58,25 +70,38 @@ _MODE_DELTA = 2
 _MODE_BITS = 2
 
 _RUN_LEN_BITS = 5  # runs of 2..33 zero planes, stored as len-2
+_MAX_RUN = 2 + (1 << _RUN_LEN_BITS) - 1
+
+# The parallel no-transform path only matters when the delta transform
+# did poorly; below one byte-bin (64 bits) the choice cannot change any
+# packing decision, so the second pass is skipped.
+_PLAIN_MODE_ABOVE_BITS = 64
+
+# The transpose spreads a value five bytes at a time: 40 bits cover
+# the 33-bit deltas and the 32-bit words.
+_SPREAD_BYTES = 5
+# Struct codes for the plane fields, by field size in bytes.
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _bit_planes(values: List[int], n_planes: int) -> List[int]:
-    """Transpose ``values`` into ``n_planes`` planes, MSB plane first.
+def _spread_tables(stride: int) -> Tuple[Tuple[int, ...], ...]:
+    """Byte-lookup tables for the plane transpose.
 
-    Plane ``p`` (for bit position ``b = n_planes-1-p``) packs bit ``b``
-    of ``values[i]`` into bit ``i`` of the plane.
+    ``tables[k][byte]`` moves bit ``j`` of ``byte`` -- bit ``8k + j`` of
+    a value -- to bit 0 of that bit's plane field, which starts at bit
+    ``(8k + j) * stride``.
     """
-    planes = []
-    for b in range(n_planes - 1, -1, -1):
-        plane = 0
-        for i, value in enumerate(values):
-            plane |= ((value >> b) & 1) << i
-        planes.append(plane)
-    return planes
+    spread = [0] * 256
+    for byte in range(1, 256):
+        spread[byte] = spread[byte >> 1] << stride | byte & 1
+    return tuple(
+        tuple(bits << (8 * k * stride) for bits in spread)
+        for k in range(_SPREAD_BYTES)
+    )
 
 
 def _from_bit_planes(planes: List[int], width: int) -> List[int]:
-    """Inverse of :func:`_bit_planes` (``width`` values)."""
+    """``width`` values from their DBP planes, MSB plane first."""
     n_planes = len(planes)
     values = [0] * width
     for p, plane in enumerate(planes):
@@ -84,6 +109,30 @@ def _from_bit_planes(planes: List[int], width: int) -> List[int]:
         for i in range(width):
             values[i] |= ((plane >> i) & 1) << b
     return values
+
+
+def _base_code(base: int) -> Tuple[int, int, int, int]:
+    """``(prefix, prefix bits, payload, payload bits)`` coding the base word."""
+    signed = sign_extend(base, _WORD_BITS)
+    if base == 0:
+        return 0b000, 3, 0, 0
+    if -8 <= signed <= 7:
+        return 0b001, 3, signed & 0xF, 4
+    if -128 <= signed <= 127:
+        return 0b010, 3, signed & 0xFF, 8
+    if -(1 << 15) <= signed <= (1 << 15) - 1:
+        return 0b011, 3, signed & 0xFFFF, 16
+    return 0b1, 1, base, 32
+
+
+def _deltas(words: Sequence[int]) -> Iterator[int]:
+    """The 15 successive deltas ``w[i+1] - w[i]``.
+
+    They are left unmasked: the transpose keeps a value's low
+    ``n_planes`` bits, which for the 33 delta planes is the 33-bit two's
+    complement.
+    """
+    return map(sub, words[1:], words)
 
 
 @dataclass(frozen=True)
@@ -99,28 +148,96 @@ class _PlaneGeometry:
 
 
 class _PlaneCoder:
-    """Encodes/decodes a sequence of DBX planes with the BPC symbol table."""
+    """Encodes/decodes a sequence of DBX planes with the BPC symbol table.
+
+    :meth:`encode` writes the symbols; :meth:`count` returns how many
+    bits :meth:`encode` would write, from the same planes and the same
+    symbol table, without a writer.
+    """
 
     def __init__(self, geometry: _PlaneGeometry) -> None:
         self.geometry = geometry
         self._mask = (1 << geometry.width) - 1
+        width = geometry.width
+        # Each plane sits in a byte-aligned field so that one
+        # ``to_bytes`` and one struct unpack split all of them.
+        field_bytes = min(
+            (size for size in _FIELD_CODES if 8 * size >= width), default=None
+        )
+        if field_bytes is None:
+            raise ValueError(f"{width}-bit planes exceed the 64-bit field")
+        self._stride = 8 * field_bytes
+        self._spread = _spread_tables(self._stride)
+        # The top lookup keeps only the bits that have a plane (bit 32
+        # of a delta, none of a word).
+        self._top_mask = (1 << geometry.n_planes - 8 * (_SPREAD_BYTES - 1)) - 1
+        self._planes_bytes = field_bytes * geometry.n_planes
+        self._unpack = struct.Struct(
+            f">{geometry.n_planes}{_FIELD_CODES[field_bytes]}").unpack
+        # Bits of the zero-run symbols covering a run of n planes.
+        self._run_bits = tuple(
+            self._count_run(n) for n in range(geometry.n_planes + 1)
+        )
+        # Bits of every short plane symbol, keyed by its DBX plane (the
+        # DBP == 0 symbol is decided before this lookup); any other
+        # nonzero plane is stored raw.
+        self._raw_plane_bits = 1 + width
+        short = [self._mask] + [1 << pos for pos in range(width)] + [
+            0b11 << pos for pos in range(width - 1)
+        ]
+        self._symbol_bits = {dbx: self._plane_bits(dbx) for dbx in short}
 
-    def encode(self, writer: BitWriter, values: List[int]) -> None:
-        geo = self.geometry
-        planes = _bit_planes(values, geo.n_planes)  # DBP, MSB first
-        prev_dbp = 0  # plane "above" the MSB plane is all zero
+    def planes(self, values: Iterable[int]) -> Tuple[Tuple[int, ...],
+                                                     Tuple[int, ...]]:
+        """DBP and DBX planes of ``values``, MSB plane first.
+
+        A table transpose: five lookups spread the five low bytes of a
+        value into the planes of their bits, all planes living in one
+        int ``big`` (the plane of bit ``b`` in the field at bit
+        ``b * stride``, holding bit ``b`` of ``values[i]`` at its bit
+        ``i``).  The XOR of every plane with its more-significant
+        neighbour is then one shifted XOR, ``big ^ (big >> stride)``.
+        """
+        t0, t1, t2, t3, t4 = self._spread
+        top = self._top_mask
+        big = 0
+        for i, value in enumerate(values):
+            big |= (t0[value & 0xFF] | t1[value >> 8 & 0xFF]
+                    | t2[value >> 16 & 0xFF] | t3[value >> 24 & 0xFF]
+                    | t4[value >> 32 & top]) << i
+        dbx = big ^ (big >> self._stride)
+        size = self._planes_bytes
+        return (self._unpack(big.to_bytes(size, "big")),
+                self._unpack(dbx.to_bytes(size, "big")))
+
+    def encode(self, writer: BitWriter, values: Iterable[int]) -> None:
+        dbps, dbxs = self.planes(values)
         run = 0
-        for dbp in planes:
-            dbx = dbp ^ prev_dbp
+        for dbp, dbx in zip(dbps, dbxs):
             if dbx == 0:
                 run += 1
-                prev_dbp = dbp
                 continue
             self._flush_run(writer, run)
             run = 0
             self._encode_plane(writer, dbx, dbp)
-            prev_dbp = dbp
         self._flush_run(writer, run)
+
+    def count(self, values: Iterable[int]) -> int:
+        """Bits :meth:`encode` writes for ``values``."""
+        dbps, dbxs = self.planes(values)
+        run_bits = self._run_bits
+        symbol_bits = self._symbol_bits
+        raw_plane_bits = self._raw_plane_bits
+        bits = run = 0
+        for dbp, dbx in zip(dbps, dbxs):
+            if dbx == 0:
+                run += 1
+                continue
+            bits += run_bits[run]
+            run = 0
+            # A vanished DBP takes the 5-bit ``00001`` symbol.
+            bits += symbol_bits.get(dbx, raw_plane_bits) if dbp else 5
+        return bits + run_bits[run]
 
     def decode(self, reader: BitReader) -> List[int]:
         geo = self.geometry
@@ -136,12 +253,28 @@ class _PlaneCoder:
 
     def _flush_run(self, writer: BitWriter, run: int) -> None:
         while run >= 2:
-            chunk = min(run, 2 + (1 << _RUN_LEN_BITS) - 1)
+            chunk = min(run, _MAX_RUN)
             writer.write(0b01, 2)
             writer.write(chunk - 2, _RUN_LEN_BITS)
             run -= chunk
         if run == 1:
             writer.write(0b001, 3)
+
+    @staticmethod
+    def _count_run(run: int) -> int:
+        """Bits :meth:`_flush_run` writes for ``run`` zero planes."""
+        bits = 7 * (run // _MAX_RUN)
+        left = run % _MAX_RUN
+        return bits + (7 if left >= 2 else 3 * left)
+
+    def _plane_bits(self, dbx: int) -> int:
+        """Bits :meth:`_encode_plane` writes for ``dbx`` when DBP != 0."""
+        if dbx == self._mask:
+            return 5
+        if (self._single_one_position(dbx) is not None
+                or self._two_consecutive_ones_position(dbx) is not None):
+            return 5 + self.geometry.pos_bits
+        return self._raw_plane_bits
 
     def _encode_plane(self, writer: BitWriter, dbx: int, dbp: int) -> None:
         geo = self.geometry
@@ -222,28 +355,45 @@ class BPCCompressor(Compressor):
         self._plain_geo = _PlaneGeometry(n_planes=_WORD_BITS, width=n_words)
         self._delta_coder = _PlaneCoder(self._delta_geo)
         self._plain_coder = _PlaneCoder(self._plain_geo)
+        self._words = struct.Struct(f"<{n_words}I").unpack
+        self._raw_bits = line_size * 8 + _MODE_BITS
 
     def compress(self, data: bytes) -> CompressedLine:
         self._check_input(data)
-        words = words_of(data, 4)
+        words = self._words(data)
 
         best = self._compress_delta(words)
-        # The parallel no-transform path only matters when the delta
-        # transform did poorly; below one byte-bin (64 bits) the choice
-        # cannot change any packing decision, so skip the second pass.
-        if not self.transform_only and best.bit_length > 64:
+        if (not self.transform_only
+                and best.bit_length > _PLAIN_MODE_ABOVE_BITS):
             plain = self._compress_plain(words)
             if plain.bit_length < best.bit_length:
                 best = plain
 
-        raw_bits = self.line_size * 8 + _MODE_BITS
-        if best.bit_length >= raw_bits:
+        if best.bit_length >= self._raw_bits:
             writer = BitWriter()
             writer.write(_MODE_RAW, _MODE_BITS)
             writer.write(int.from_bytes(data, "big"), self.line_size * 8)
             best = writer
         bits = best.to_bits()
         return CompressedLine(self.name, bits.length, bits, self.line_size)
+
+    def compressed_size_bits(self, data: bytes) -> int:
+        """``compress(data).size_bits``, counted without building the stream.
+
+        Same modes and the same choice between them as :meth:`compress`:
+        plain mode only when delta mode exceeds 64 bits, a strict ``<``
+        between the modes, and the raw cap.
+        """
+        self._check_input(data)
+        words = self._words(data)
+        _, prefix_bits, _, payload_bits = _base_code(words[0])
+        best = (_MODE_BITS + prefix_bits + payload_bits
+                + self._delta_coder.count(_deltas(words)))
+        if not self.transform_only and best > _PLAIN_MODE_ABOVE_BITS:
+            plain = _MODE_BITS + self._plain_coder.count(words)
+            if plain < best:
+                best = plain
+        return min(best, self._raw_bits)
 
     def decompress(self, line: CompressedLine) -> bytes:
         self._check_line(line)
@@ -266,44 +416,24 @@ class BPCCompressor(Compressor):
 
     # -- mode 2: delta + bit-plane + xor ---------------------------------
 
-    def _compress_delta(self, words: List[int]) -> BitWriter:
+    def _compress_delta(self, words: Sequence[int]) -> BitWriter:
         writer = BitWriter()
         writer.write(_MODE_DELTA, _MODE_BITS)
-        self._encode_base(writer, words[0])
-        deltas_tc = []
-        mask = (1 << (_WORD_BITS + 1)) - 1
-        for prev, cur in zip(words, words[1:]):
-            deltas_tc.append((cur - prev) & mask)
-        self._delta_coder.encode(writer, deltas_tc)
+        prefix, prefix_bits, payload, payload_bits = _base_code(words[0])
+        writer.write(prefix, prefix_bits)
+        writer.write(payload, payload_bits)
+        self._delta_coder.encode(writer, _deltas(words))
         return writer
 
     # -- mode 1: bit-plane + xor on raw words ----------------------------
 
-    def _compress_plain(self, words: List[int]) -> BitWriter:
+    def _compress_plain(self, words: Sequence[int]) -> BitWriter:
         writer = BitWriter()
         writer.write(_MODE_PLAIN, _MODE_BITS)
         self._plain_coder.encode(writer, words)
         return writer
 
     # -- base word prefix code -------------------------------------------
-
-    @staticmethod
-    def _encode_base(writer: BitWriter, base: int) -> None:
-        signed = sign_extend(base, _WORD_BITS)
-        if base == 0:
-            writer.write(0b000, 3)
-        elif -8 <= signed <= 7:
-            writer.write(0b001, 3)
-            writer.write(signed & 0xF, 4)
-        elif -128 <= signed <= 127:
-            writer.write(0b010, 3)
-            writer.write(signed & 0xFF, 8)
-        elif -(1 << 15) <= signed <= (1 << 15) - 1:
-            writer.write(0b011, 3)
-            writer.write(signed & 0xFFFF, 16)
-        else:
-            writer.write(0b1, 1)
-            writer.write(base, 32)
 
     @staticmethod
     def _decode_base(reader: BitReader) -> int:

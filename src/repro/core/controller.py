@@ -464,15 +464,6 @@ class CompressedMemoryController:
         self._sanitize_all()
         return pending
 
-    def force_repack(self, page: int) -> bool:
-        """Explicitly repack one page (used by tests and the balloon)."""
-        state = self.pages.get(page)
-        if state is None or not state.meta.valid:
-            return False
-        repacked = self._maybe_repack(page, state)
-        self._sanitize_op(page)
-        return repacked
-
     def free_page(self, page: int) -> None:
         """Invalidate an OSPA page and release its storage (balloon path)."""
         state = self.pages.get(page)
@@ -1097,9 +1088,7 @@ class CompressedMemoryController:
             self.tracer.emit("os_page_fault")
 
     def _apply_layout(self, state: PageState, layout: PageLayout) -> None:
-        state.meta.line_bins = [
-            self.packer.bin_index(size) for size in layout.slot_sizes
-        ]
+        state.meta.line_bins = self.packer.bin_indices(layout.slot_sizes)
         state.meta.inflated_lines = list(layout.inflated_lines)
         state.layout = layout
 

@@ -6,13 +6,26 @@ the sum of the encoded sizes of lines 0..i-1 — computed by a 63-input
 4-bit adder in one extra cycle (§VII-E).  LinePack keeps the highest
 compression ratio (Fig. 2) at the cost of that adder and of split
 accesses when bins are not alignment friendly (§IV-B1).
+
+The model follows the hardware: a size becomes its bin through a
+per-scheme lookup table (:meth:`PackingScheme.bin_indices`), and the
+adder is a prefix sum, ``itertools.accumulate`` over the slot sizes.
+Pages repeat the same bins (all-raw, all-zero, one dominant size), so
+:meth:`LinePack.layout_from_bins` memoizes the frozen layout per
+(bins, inflated lines), per packer, up to :data:`LAYOUT_MEMO_MAX`
+entries.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import accumulate
+from typing import Dict, Sequence, Tuple
 
 from .packing import PackingScheme, PageLayout
+
+#: Bound on the layouts one :class:`LinePack` keeps; the oldest entry
+#: goes first when it is full.
+LAYOUT_MEMO_MAX = 1024
 
 
 class LinePack(PackingScheme):
@@ -20,27 +33,35 @@ class LinePack(PackingScheme):
 
     name = "linepack"
 
+    def __init__(self, line_bins: Sequence[int], line_size: int = 64,
+                 max_exceptions: int = 17) -> None:
+        super().__init__(line_bins, line_size, max_exceptions)
+        self._layouts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
+                            PageLayout] = {}
+
     def pack(self, line_sizes: Sequence[int]) -> PageLayout:
         """Pack fresh sizes: every line gets its own best-fit bin."""
-        slot_bins = [self.bin_index(size) for size in line_sizes]
-        return self.layout_from_bins(slot_bins, inflated_lines=())
+        return self.layout_from_bins(self.bin_indices(line_sizes),
+                                     inflated_lines=())
 
     def layout_from_bins(self, slot_bins: Sequence[int],
                          inflated_lines: Sequence[int]) -> PageLayout:
-        offsets = []
-        cursor = 0
-        sizes = []
-        for bin_index in slot_bins:
-            size = self.bin_bytes(bin_index)
-            offsets.append(cursor)
-            sizes.append(size)
-            cursor += size
-        return PageLayout(
-            slot_offsets=tuple(offsets),
-            slot_sizes=tuple(sizes),
-            data_bytes=cursor,
-            inflated_lines=tuple(inflated_lines),
+        key = (tuple(slot_bins), tuple(inflated_lines))
+        layout = self._layouts.get(key)
+        if layout is not None:
+            return layout
+        sizes = tuple(map(self.line_bins.__getitem__, key[0]))
+        offsets = tuple(accumulate(sizes, initial=0))  # the 63-input adder
+        layout = PageLayout(
+            slot_offsets=offsets[:-1],
+            slot_sizes=sizes,
+            data_bytes=offsets[-1],
+            inflated_lines=key[1],
         )
+        if len(self._layouts) >= LAYOUT_MEMO_MAX:
+            del self._layouts[next(iter(self._layouts))]
+        self._layouts[key] = layout
+        return layout
 
     @property
     def offset_calc_cycles(self) -> int:

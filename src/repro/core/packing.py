@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, List, Sequence, Tuple
 
 
 def choose_bin(size_bytes: int, bins: Sequence[int]) -> int:
@@ -104,9 +105,20 @@ class PackingScheme(abc.ABC):
         self.line_bins = tuple(line_bins)
         self.line_size = line_size
         self.max_exceptions = max_exceptions
+        # choose_bin of every size 0..line_size + 1; larger sizes clamp
+        # to the last entry, which is the raw bin.
+        self._size_bins = tuple(
+            choose_bin(size, self.line_bins) for size in range(line_size + 2)
+        )
 
     def bin_index(self, size_bytes: int) -> int:
-        return choose_bin(size_bytes, self.line_bins)
+        """:func:`choose_bin` for a size in bytes, as a table lookup."""
+        return self._size_bins[min(size_bytes, self.line_size + 1)]
+
+    def bin_indices(self, sizes: Iterable[int]) -> List[int]:
+        """:meth:`bin_index` of every size, mapped through the table in C."""
+        return list(map(self._size_bins.__getitem__,
+                        map(min, sizes, repeat(self.line_size + 1))))
 
     def bin_bytes(self, bin_index: int) -> int:
         return self.line_bins[bin_index]

@@ -69,7 +69,7 @@ class _SizeTracker:
             return 0
         size = self._cache.get(data)
         if size is None:
-            size = min(self._compressor.compress(data).size_bytes, 64)
+            size = min(self._compressor.compressed_size_bytes(data), 64)
             self._cache[data] = size
         return _LINE_BINS[choose_bin(size, _LINE_BINS)]
 

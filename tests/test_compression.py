@@ -70,6 +70,9 @@ class TestRoundTrip:
         line = bytes(range(64))
         compressed = compressor.compress(line)
         assert compressed.size_bytes == (compressed.size_bits + 7) // 8
+        for sample in interesting_lines():
+            assert (compressor.compressed_size_bytes(sample)
+                    == compressor.compress(sample).size_bytes)
 
 
 @pytest.mark.parametrize("compressor", ALL_COMPRESSORS, ids=IDS)
@@ -123,6 +126,83 @@ class TestBPCSpecifics:
     def test_delta_friendly_data(self):
         line = struct.pack("<16I", *[10_000 + 3 * i for i in range(16)])
         assert BPCCompressor().compress(line).size_bits < 100
+
+    # -- the size-only count must equal the reference encoder's size --
+
+    BOTH_MODES = (BPCCompressor(), BPCCompressor(transform_only=True))
+
+    def assert_count_matches(self, line):
+        for bpc in self.BOTH_MODES:
+            assert (bpc.compressed_size_bits(line)
+                    == bpc.compress(line).size_bits), (bpc.transform_only, line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(min_size=64, max_size=64))
+    def test_count_matches_compress_on_random_lines(self, data):
+        self.assert_count_matches(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.integers(min_value=0, max_value=(1 << 32) - 1),
+           deltas=st.lists(st.integers(min_value=-300, max_value=300),
+                           min_size=15, max_size=15))
+    def test_count_matches_compress_on_delta_lines(self, base, deltas):
+        words = [base]
+        for delta in deltas:
+            words.append((words[-1] + delta) & 0xFFFFFFFF)
+        self.assert_count_matches(struct.pack("<16I", *words))
+
+    @staticmethod
+    def words_line(words):
+        return struct.pack("<16I", *(w & 0xFFFFFFFF for w in words))
+
+    def test_count_matches_compress_on_edge_cases(self):
+        import random
+        bpc = BPCCompressor()
+        # A line of uniform random bytes hits the 514-bit raw cap.
+        rng = random.Random(5)
+        capped = bytes(rng.getrandbits(8) for _ in range(64))
+        assert bpc.compress(capped).size_bits == 64 * 8 + 2
+        edge_lines = [
+            bytes(64),                                   # zero line
+            self.words_line([0x12345678] * 16),          # 33-plane zero run
+            self.words_line([100 - i for i in range(16)]),  # all-ones DBX
+            self.words_line([0] * 15 + [1]),             # single one, top position
+            self.words_line([0] * 14 + [1, 2]),          # two ones, top edge
+            self.words_line([1] + [0] * 15),             # single one, bottom
+            self.words_line([0] * 15 + [0x80000000]),    # a delta of -2**31
+            capped,
+        ]
+        for base in (-9, -8, 7, 8, -129, -128, 127, 128,
+                     -(1 << 15) - 1, -(1 << 15), (1 << 15) - 1, 1 << 15):
+            edge_lines.append(self.words_line([base] * 16))
+            edge_lines.append(self.words_line([base] + [0] * 15))
+        for line in edge_lines:
+            self.assert_count_matches(line)
+
+    def test_count_matches_compress_on_benchmark_page_images(self):
+        """Every line of each benchmark workload's seed-1 page images."""
+        import sys
+        from pathlib import Path
+
+        from repro.workloads.profiles import PROFILES
+        from repro.workloads.tracegen import Workload
+
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                               / "perfbench"))
+        import scenarios
+
+        lines = set()
+        for workload in scenarios.WORKLOADS.values():
+            for index, name in enumerate(workload.benchmarks):
+                # Multicore mixes seed core i with seed + i.
+                seed = scenarios.DEFAULT_SEED + (index if workload.mix else 0)
+                images = Workload(PROFILES[name], scale=scenarios.SCALE,
+                                  seed=seed)
+                for page in range(images.pages):
+                    lines.update(images.page_lines(page))
+        assert len(lines) > 1000
+        for line in lines:
+            self.assert_count_matches(line)
 
 
 class TestBDISpecifics:

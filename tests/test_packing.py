@@ -5,9 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ALIGNMENT_FRIENDLY_LINE_BINS, PRIOR_WORK_LINE_BINS
-from repro.core.lcp import LCPPack
-from repro.core.linepack import LinePack, split_access_fraction
-from repro.core.packing import blocks_spanned, choose_bin
+from repro.core.lcp import LCPPack, derive_targets
+from repro.core.linepack import (
+    LAYOUT_MEMO_MAX,
+    LinePack,
+    split_access_fraction,
+)
+from repro.core.packing import PageLayout, blocks_spanned, choose_bin
+
+#: Every bin set the systems pack with: prior work, alignment friendly,
+#: and the two LCP target sets derived from the size classes.
+BIN_SETS = [PRIOR_WORK_LINE_BINS, ALIGNMENT_FRIENDLY_LINE_BINS,
+            derive_targets(aligned=False), derive_targets(aligned=True)]
 
 
 class TestChooseBin:
@@ -19,6 +28,70 @@ class TestChooseBin:
 
     def test_oversized_clamps_to_raw(self):
         assert choose_bin(100, ALIGNMENT_FRIENDLY_LINE_BINS) == 3
+
+
+class TestBinTable:
+    @pytest.mark.parametrize("bins", BIN_SETS, ids=str)
+    @pytest.mark.parametrize("scheme", [LinePack, LCPPack])
+    def test_table_matches_choose_bin(self, scheme, bins):
+        packer = scheme(bins)
+        sizes = range(packer.line_size + 9)
+        for size in sizes:
+            assert packer.bin_index(size) == choose_bin(size,
+                                                        packer.line_bins)
+        assert packer.bin_indices(sizes) == [
+            choose_bin(size, packer.line_bins) for size in sizes]
+
+
+def reference_layout(packer, slot_bins, inflated_lines):
+    """LinePack's layout built by an explicit running-sum loop."""
+    offsets, sizes, cursor = [], [], 0
+    for bin_index in slot_bins:
+        offsets.append(cursor)
+        sizes.append(packer.line_bins[bin_index])
+        cursor += packer.line_bins[bin_index]
+    return PageLayout(slot_offsets=tuple(offsets), slot_sizes=tuple(sizes),
+                      data_bytes=cursor, inflated_lines=tuple(inflated_lines))
+
+
+class TestLayoutMemo:
+    @given(bins=st.lists(st.integers(min_value=0, max_value=3),
+                         min_size=0, max_size=64),
+           inflated=st.lists(st.integers(min_value=0, max_value=63),
+                             max_size=17, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_memo_matches_reference_loop(self, bins, inflated):
+        packer = LinePack(ALIGNMENT_FRIENDLY_LINE_BINS)
+        for _ in range(2):  # a miss, then a hit
+            assert (packer.layout_from_bins(bins, inflated)
+                    == reference_layout(packer, bins, inflated))
+
+    def test_caller_mutation_leaves_cached_layout_alone(self):
+        packer = LinePack(ALIGNMENT_FRIENDLY_LINE_BINS)
+        bins, inflated = [1] * 64, [3]
+        first = packer.layout_from_bins(bins, inflated)
+        expected = reference_layout(packer, bins, inflated)
+        bins[0] = 3
+        inflated.append(9)
+        assert first == expected
+        assert packer.layout_from_bins([1] * 64, [3]) == expected
+        assert (packer.layout_from_bins(bins, inflated)
+                == reference_layout(packer, bins, inflated))
+
+    def test_memo_is_bounded(self):
+        packer = LinePack(ALIGNMENT_FRIENDLY_LINE_BINS)
+        for n in range(LAYOUT_MEMO_MAX + 50):
+            bins = [int(digit) for digit in f"{n:012b}"]
+            assert (packer.layout_from_bins(bins, ())
+                    == reference_layout(packer, bins, ()))
+            assert len(packer._layouts) <= LAYOUT_MEMO_MAX
+        assert len(packer._layouts) == LAYOUT_MEMO_MAX
+
+    def test_memo_is_per_packer(self):
+        aligned = LinePack(ALIGNMENT_FRIENDLY_LINE_BINS)
+        prior = LinePack(PRIOR_WORK_LINE_BINS)
+        assert aligned.layout_from_bins([1] * 64, ()).slot_sizes[0] == 8
+        assert prior.layout_from_bins([1] * 64, ()).slot_sizes[0] == 22
 
 
 class TestBlocksSpanned:
