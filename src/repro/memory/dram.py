@@ -96,6 +96,12 @@ class DDR4Channel:
         if n_banks <= 0 or n_banks & (n_banks - 1):
             raise ValueError("n_banks must be a positive power of two")
         self.timings = timings
+        # The timings are frozen: their CPU-cycle figures are computed
+        # here once rather than on every access.
+        self._row_hit = timings.row_hit_latency
+        self._row_miss = timings.row_miss_latency
+        self._row_conflict = timings.row_conflict_latency
+        self._burst = timings.burst_cycles
         self.n_banks = n_banks
         self.banks: List[_Bank] = [_Bank() for _ in range(n_banks)]
         self.bus_free_at = 0
@@ -117,45 +123,46 @@ class DDR4Channel:
         scheduler serves them ahead of the bank backlog.  They still
         consume bus bandwidth.
         """
-        t = self.timings
         bank_idx, row = self._map(access.address)
         bank = self.banks[bank_idx]
+        stats = self.stats
+        burst = self._burst
 
         if (access.category is AccessCategory.METADATA
                 and access.kind is AccessKind.READ and access.critical):
-            latency = (t.row_hit_latency if bank.open_row == row
-                       else t.row_miss_latency)
-            completion = now + latency + t.burst_cycles
-            self.stats.reads += 1
-            self.stats.busy_cycles += t.burst_cycles
-            self.stats.total_wait_cycles += completion - now
+            latency = (self._row_hit if bank.open_row == row
+                       else self._row_miss)
+            completion = now + latency + burst
+            stats.reads += 1
+            stats.busy_cycles += burst
+            stats.total_wait_cycles += completion - now
             return completion
 
         start = max(now, bank.ready_at)
         if bank.open_row == row:
-            latency = t.row_hit_latency
-            self.stats.row_hits += 1
+            latency = self._row_hit
+            stats.row_hits += 1
         elif bank.open_row == -1:
-            latency = t.row_miss_latency
-            self.stats.row_misses += 1
+            latency = self._row_miss
+            stats.row_misses += 1
         else:
-            latency = t.row_conflict_latency
-            self.stats.row_conflicts += 1
+            latency = self._row_conflict
+            stats.row_conflicts += 1
         bank.open_row = row
 
         data_ready = start + latency
         # The burst needs the shared bus.
         burst_start = max(data_ready, self.bus_free_at)
-        completion = burst_start + t.burst_cycles
+        completion = burst_start + burst
         self.bus_free_at = completion
         bank.ready_at = completion
 
         if access.kind is AccessKind.READ:
-            self.stats.reads += 1
+            stats.reads += 1
         else:
-            self.stats.writes += 1
-        self.stats.busy_cycles += t.burst_cycles
-        self.stats.total_wait_cycles += completion - now
+            stats.writes += 1
+        stats.busy_cycles += burst
+        stats.total_wait_cycles += completion - now
         return completion
 
     def utilization(self, elapsed_cycles: int) -> float:

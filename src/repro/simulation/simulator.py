@@ -37,11 +37,11 @@ class SimulationConfig:
     seed: int = 0
     warm_install: bool = True        # pre-populate memory (CompressPoint)
     #: Prime the controller's compressed-size cache through the numpy
-    #: batch kernels before the warm install (docs/KERNELS.md).  Purely
-    #: a wall-clock optimization — the vector kernels are byte-identical
-    #: to the scalar compressors, so results and statistics do not
-    #: change; opt-in because correctness runs deliberately exercise
-    #: the scalar demand path.
+    #: batch kernels before the warm install (docs/KERNELS.md).  The
+    #: vector kernels are byte-identical to the scalar compressors, so
+    #: results and statistics do not change.  It saves no measurable
+    #: time: a run compresses few distinct lines, and end to end the
+    #: hook measures within noise or slower.
     batch_install: bool = False
     ratio_samples: int = 20          # compression-ratio timeline length
     os_fault_penalty: int = OS_PAGE_FAULT_PENALTY_CYCLES

@@ -12,10 +12,20 @@ region starts (the simulator installs the initial image), and the
 stream mixes re-reads, rewrites of similar data, and phase-dependent
 overwrites that change compressibility — the behaviour that drives the
 paper's overflow, repacking and prediction machinery.
+
+The event stream is defined by a legacy ``RandomState`` and its scalar
+``rand`` / ``randint`` / ``geometric`` draws, but ``events()`` makes no
+numpy call per draw: it fetches the raw MT19937 words in blocks and
+replays the legacy algorithms on them in Python (:class:`_LegacyDraws`),
+which gives every event exactly as the scalar calls would.  NEP 19
+freezes the legacy ``RandomState`` stream, so the replay cannot drift
+from numpy.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -106,29 +116,36 @@ class TraceGenerator:
         profile = self.profile
         pages = self.workload.pages
         hot_pages = max(1, int(pages * profile.hot_fraction))
-        rng = np.random.RandomState(
+        draws = _LegacyDraws(np.random.RandomState(
             stable_seed(profile.name, "trace", self.seed)
-        )
+        ))
+        rand, randint, geometric = (draws.rand, draws.randint,
+                                    draws.geometric)
+        sequential, hot_weight, skew, write_fraction = (
+            profile.sequential, profile.hot_weight, profile.skew,
+            profile.write_fraction)
         gap_p = min(1.0, profile.mpki / 1000.0)
+        if gap_p <= 0.0:
+            raise ValueError(f"{profile.name}: mpki must be positive")
 
-        page = int(rng.randint(0, pages))
-        line = int(rng.randint(0, LINES_PER_PAGE))
+        page = randint(pages)
+        line = randint(LINES_PER_PAGE)
         for _ in range(n_events):
-            if rng.rand() < profile.sequential:
+            if rand() < sequential:
                 line += 1
                 if line >= LINES_PER_PAGE:
                     line = 0
                     page = (page + 1) % pages
             else:
-                if rng.rand() < profile.hot_weight:
+                if rand() < hot_weight:
                     # Popularity within the hot set is skewed (zipf-like):
                     # skew=1 is uniform, larger concentrates on few pages.
-                    page = int(hot_pages * (rng.rand() ** profile.skew))
+                    page = int(hot_pages * (rand() ** skew))
                 else:
-                    page = int(rng.randint(0, pages))
-                line = int(rng.randint(0, LINES_PER_PAGE))
-            is_writeback = bool(rng.rand() < profile.write_fraction)
-            gap = int(rng.geometric(gap_p))
+                    page = randint(pages)
+                line = randint(LINES_PER_PAGE)
+            is_writeback = rand() < write_fraction
+            gap = geometric(gap_p)
             yield TraceEvent(gap=gap, is_writeback=is_writeback,
                              page=page, line=line)
 
@@ -141,3 +158,53 @@ class TraceGenerator:
         if self.profile.churn and rng.rand() < self.profile.churn:
             return LineClass.RANDOM
         return None
+
+
+#: Raw words fetched per numpy call by :class:`_LegacyDraws`.
+_WORD_BLOCK = 256
+
+
+class _LegacyDraws:
+    """``RandomState`` scalar draws, replayed in Python from raw words.
+
+    Words come ``_WORD_BLOCK`` at a time from ``randint(0, 2**32, n,
+    dtype=uint32)``, which returns them unmasked (the path
+    ``RandomState.bytes`` takes).  The replay reads ahead of its draws,
+    so ``rng`` must be private to it.
+    """
+
+    def __init__(self, rng: np.random.RandomState) -> None:
+        blocks = iter(lambda: rng.randint(0, 1 << 32, _WORD_BLOCK,
+                                          dtype=np.uint32).tolist(), None)
+        self._word = itertools.chain.from_iterable(blocks).__next__
+
+    def rand(self) -> float:
+        """``rand()``: a 53-bit double from two words."""
+        word = self._word
+        return ((word() >> 5) * 67108864.0 + (word() >> 6)) \
+            / 9007199254740992.0
+
+    def randint(self, high: int) -> int:
+        """``randint(0, high)``: masked rejection, one word per try."""
+        top = high - 1
+        if top == 0:
+            return 0
+        mask = (1 << top.bit_length()) - 1
+        word = self._word
+        value = word() & mask
+        while value > top:
+            value = word() & mask
+        return value
+
+    def geometric(self, p: float) -> int:
+        """``geometric(p)``: inversion below p = 1/3, else search."""
+        if p >= 1.0 / 3.0:
+            u = self.rand()
+            q = 1.0 - p
+            trials, total, prob = 1, p, p
+            while u > total:
+                prob *= q
+                total += prob
+                trials += 1
+            return trials
+        return math.ceil(math.log1p(-self.rand()) / math.log(1.0 - p))

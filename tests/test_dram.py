@@ -1,5 +1,7 @@
 """Tests for the DDR4 timing model."""
 
+import random
+
 import pytest
 
 from repro.memory.dram import DDR4Channel, DRAMSystem, DRAMTimings
@@ -104,3 +106,115 @@ class TestSystem:
     def test_invalid_channels(self):
         with pytest.raises(ValueError):
             DRAMSystem(n_channels=0)
+
+
+class ReferenceChannel(DDR4Channel):
+    """``access`` as it read the timing properties on every call: the
+    behaviour the cached latencies must reproduce."""
+
+    def access(self, now, access):
+        t = self.timings
+        bank_idx, row = self._map(access.address)
+        bank = self.banks[bank_idx]
+
+        if (access.category is AccessCategory.METADATA
+                and access.kind is AccessKind.READ and access.critical):
+            latency = (t.row_hit_latency if bank.open_row == row
+                       else t.row_miss_latency)
+            completion = now + latency + t.burst_cycles
+            self.stats.reads += 1
+            self.stats.busy_cycles += t.burst_cycles
+            self.stats.total_wait_cycles += completion - now
+            return completion
+
+        start = max(now, bank.ready_at)
+        if bank.open_row == row:
+            latency = t.row_hit_latency
+            self.stats.row_hits += 1
+        elif bank.open_row == -1:
+            latency = t.row_miss_latency
+            self.stats.row_misses += 1
+        else:
+            latency = t.row_conflict_latency
+            self.stats.row_conflicts += 1
+        bank.open_row = row
+
+        data_ready = start + latency
+        burst_start = max(data_ready, self.bus_free_at)
+        completion = burst_start + t.burst_cycles
+        self.bus_free_at = completion
+        bank.ready_at = completion
+
+        if access.kind is AccessKind.READ:
+            self.stats.reads += 1
+        else:
+            self.stats.writes += 1
+        self.stats.busy_cycles += t.burst_cycles
+        self.stats.total_wait_cycles += completion - now
+        return completion
+
+
+TIMINGS = [DRAMTimings(),
+           DRAMTimings(cpu_freq_ghz=2.0, tCL=22, burst_length=16)]
+
+
+def random_stream(seed, n=3000):
+    """(now, access) pairs over a few hot rows of every bank, so the
+    stream mixes row hits, misses and conflicts, reads and writes, and
+    critical and non-critical metadata reads."""
+    rng = random.Random(seed)
+    now = 0
+    for _ in range(n):
+        now += rng.choice((0, 0, 1, 7, 40, 300))
+        address = (rng.randrange(4) * DDR4Channel.ROW_BYTES * 16
+                   + rng.randrange(16) * DDR4Channel.BANK_STRIPE
+                   + rng.randrange(4) * 64)
+        roll = rng.random()
+        if roll < 0.15:
+            access = MemAccess(AccessKind.READ, AccessCategory.METADATA,
+                               address, rng.random() < 0.7)
+        elif roll < 0.25:
+            access = MemAccess(AccessKind.WRITE, AccessCategory.METADATA,
+                               address, False)
+        elif roll < 0.6:
+            access = write(address)
+        else:
+            access = read(address, critical=rng.random() < 0.8)
+        yield now, access
+
+
+class TestCachedTimings:
+    """``DDR4Channel`` reads its frozen timings once, at construction."""
+
+    @pytest.mark.parametrize("timings", TIMINGS, ids=["default", "slow"])
+    def test_cached_latencies_equal_the_properties(self, timings):
+        channel = DDR4Channel(timings)
+        assert channel._row_hit == timings.row_hit_latency
+        assert channel._row_miss == timings.row_miss_latency
+        assert channel._row_conflict == timings.row_conflict_latency
+        assert channel._burst == timings.burst_cycles
+
+    def test_non_default_timings_change_the_latencies(self):
+        default, slow = (DDR4Channel(t) for t in TIMINGS)
+        assert slow._row_hit != default._row_hit
+        assert slow._burst != default._burst
+
+    @pytest.mark.parametrize("timings", TIMINGS, ids=["default", "slow"])
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_access_stream_matches_reference(self, timings, n_channels,
+                                             seed):
+        system = DRAMSystem(n_channels, timings)
+        reference = DRAMSystem(n_channels, timings)
+        reference.channels = [ReferenceChannel(timings)
+                              for _ in range(n_channels)]
+        for now, access in random_stream(seed):
+            assert system.access(now, access) == reference.access(now, access)
+        assert system.stats == reference.stats
+        for channel, ref in zip(system.channels, reference.channels):
+            assert channel.stats == ref.stats
+            assert channel.bus_free_at == ref.bus_free_at
+            assert channel.banks == ref.banks
+        stats = system.stats
+        assert min(stats.row_hits, stats.row_misses, stats.row_conflicts,
+                   stats.reads, stats.writes) > 0

@@ -1,5 +1,5 @@
-"""Absolute parity: seed 1 of every benchmark workload, and seed 2 of
-the two compressed ones, reproduce their committed golden digests.
+"""Absolute parity: seeds 1 and 2 of every benchmark workload reproduce
+their committed golden digests.
 
 The scalar-vs-batch and sharded-vs-single-process tests are relative: a
 change that shifts both sides alike passes them.  This test pins the
@@ -48,9 +48,12 @@ def test_seed_matches_golden_digest(name):
     assert summary["digest"] == golden["seeds"][str(SEED)]
 
 
-@pytest.mark.parametrize("name", ["mcf-compresso", "mix4-lcp"])
+@pytest.mark.parametrize("name", ["mcf-compresso", "mix4-lcp",
+                                  "lbm-uncompressed"])
 def test_second_seed_matches_golden_digest(name):
-    """Seed 2 of the workloads that exercise the compressed size path."""
+    """Seed 2: a second trace and page image through the compressed size
+    path (mcf, mix4) and through the trace and data generators alone
+    (lbm on the uncompressed baseline)."""
     workload = scenarios.WORKLOADS[name]
     _, summary = scenarios.run_workload(workload, 2, workload.events)
     assert summary["digest"] == GOLDEN[name]["seeds"]["2"]
